@@ -13,6 +13,8 @@ a *per-cell* measurement (``ru_maxrss`` is monotone within a process;
 in one process the largest cell would mask all the others).  Cells also
 report ``store_mb``, the result store's own resident bytes via
 ``approx_bytes()`` — the column the ColumnResultStore exists to shrink.
+Sharded cells sum it over the shards' own stores, and count
+``initial_pairs`` right after the initial join like the serial cells.
 
 At the sizes where the serial seed engine is still practical (1k, 10k)
 the same pre-materialized update batches are replayed through the
@@ -56,7 +58,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
+from repro.core.result import ColumnResultStore
 from repro.metrics import monotonic_clock
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
@@ -136,6 +141,33 @@ def run_cell(fn, *args) -> dict:
 
 def store_mb(store) -> float:
     return round(store.approx_bytes() / (1024.0 * 1024.0), 1)
+
+
+def shard_stores_mb(engine) -> float:
+    """Columnar result-store size summed over the shards' own stores.
+
+    Each shard's dumped rows are loaded into a ``ColumnResultStore``,
+    so the figure measures what the columnar workers hold (ghost copies
+    included), not a scalar store rebuilt from the merged answer.
+    """
+    total = 0
+    for rows in engine.store_dumps().values():
+        cols = ColumnResultStore()
+        a, b, lo, hi = [], [], [], []
+        for (oid_a, oid_b), intervals in rows:
+            for start, end in intervals:
+                a.append(oid_a)
+                b.append(oid_b)
+                lo.append(start)
+                hi.append(end)
+        cols.add_batch(
+            np.array(a, dtype=np.int64),
+            np.array(b, dtype=np.int64),
+            np.array(lo, dtype=float),
+            np.array(hi, dtype=float),
+        )
+        total += cols.approx_bytes()
+    return round(total / (1024.0 * 1024.0), 1)
 
 
 def run_columnar(n: int, steps: int) -> dict:
@@ -240,6 +272,8 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
     t0 = monotonic_clock()
     engine.run_initial_join()
     initial_s = monotonic_clock() - t0
+    # Counted before the tick loop, as in the serial cells.
+    initial_pairs = len(engine.merged_store())
     stream = VectorUpdateStream(arrays, seed=SEED + 1)
     t0 = monotonic_clock()
     updates = 0
@@ -251,7 +285,6 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
         engine.apply_update_columns(upd_a, upd_b)
         engine.result_at(t)
     tick_s = monotonic_clock() - t0
-    merged = engine.merged_store()
     row = {
         "n_per_side": n,
         "engine": f"sharded-columnar/{shards}x{workers}",
@@ -261,12 +294,12 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
         "updates": updates,
         "build_s": round(build_s, 4),
         "initial_join_s": round(initial_s, 4),
-        "initial_pairs": len(merged),
+        "initial_pairs": initial_pairs,
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
         "ticks_per_s": round(steps / tick_s, 3),
         "updates_per_s": round(updates / tick_s, 1),
-        "store_mb": store_mb(merged),
+        "store_mb": shard_stores_mb(engine),
     }
     engine.close()
     return row

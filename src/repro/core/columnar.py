@@ -44,7 +44,7 @@ from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
 from .columns import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
 from .config import JoinConfig
-from .result import ColumnResultStore, JoinResultStore
+from .result import ColumnResultStore
 
 __all__ = ["ColumnarJoinEngine", "COLUMNAR_ALGORITHMS"]
 
@@ -97,14 +97,8 @@ class ColumnarJoinEngine:
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.tracker = CostTracker()
-        #: The maintained answer — SoA interval planes by default, the
-        #: per-pair list store under ``result_store="pairs"`` (the
-        #: oracle/ablation path).  Bit-identical either way.
-        self.store = (
-            ColumnResultStore()
-            if self.config.result_store == "columns"
-            else JoinResultStore()
-        )
+        #: The maintained answer as SoA interval planes.
+        self.store = ColumnResultStore()
         #: Attached :class:`~repro.deltas.DeltaLedger` when
         #: ``config.deltas`` is on; delta extraction rides the store's
         #: ``add_batch`` hot loop as plain scalar records.
@@ -115,12 +109,6 @@ class ColumnarJoinEngine:
             self.ledger = DeltaLedger(self.now)
             self.store.attach_ledger(self.ledger)
         self.obs: Optional[ObsRecorder] = None
-        self._backend = None
-        if self.config.compile_kernels:
-            from ..geometry import compiled
-
-            # None when Numba is absent: the documented silent fallback.
-            self._backend = compiled.get_backend()
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
@@ -174,8 +162,7 @@ class ColumnarJoinEngine:
         if t < self.now:
             raise ValueError(f"time went backwards: {t} < {self.now}")
         # Canonicalize deferred store mutations before the ledger clock
-        # moves, so every delta event lands in the tick that caused it
-        # (no-op on the list store).
+        # moves, so every delta event lands in the tick that caused it.
         self.store.flush()
         self.now = t
         if self.ledger is not None:
@@ -448,7 +435,6 @@ class ColumnarJoinEngine:
             t1,
             counter=counter,
             chunk=SWEEP_JOIN_CHUNK,
-            backend=self._backend,
         )
         # Whole-batch counter attribution: one increment per sweep, not
         # one per candidate pair.

@@ -1,4 +1,12 @@
-"""Experiment configuration: the knobs of the paper's Table I."""
+"""Experiment configuration: the knobs of the paper's Table I.
+
+Besides the paper's parameters, :class:`JoinConfig` carries engine
+switches.  The kernel backend is not one of them (NumPy is the only
+one; ``use_kernels=False`` selects the scalar oracle), and neither is
+the result-store layout: the columnar engine always keeps
+:class:`~repro.core.result.ColumnResultStore`, the object engine
+:class:`~repro.core.result.JoinResultStore`.
+"""
 
 from __future__ import annotations
 
@@ -40,27 +48,11 @@ class JoinConfig:
     #: (:mod:`repro.geometry.kernels`).  Identical results either way;
     #: off forces the scalar reference path for ablations.
     use_kernels: bool = True
-    #: Route the columnar engine's hottest kernels (pair test, sweep
-    #: bounds, insertion costs) through the optional Numba backend
-    #: (:mod:`repro.geometry.compiled`).  The NumPy path is the
-    #: bit-exact oracle, so results are identical either way; silently
-    #: falls back to NumPy when Numba is not installed.  Also forced on
-    #: by the ``REPRO_COMPILE=1`` environment variable.
-    compile_kernels: bool = False
     #: Let :meth:`ContinuousJoinEngine.apply_updates` group-commit a
     #: same-timestamp batch (bulk index maintenance + one shared probe
     #: descent per dataset).  Results are bit-exact either way; off
     #: forces the per-update serial loop for ablations.
     batch_updates: bool = True
-    #: Result-store layout used by :class:`~repro.core.columnar.
-    #: ColumnarJoinEngine`: ``"columns"`` keeps the answer as sorted
-    #: ``(a, b, lo, hi)`` interval planes
-    #: (:class:`~repro.core.result.ColumnResultStore`), ``"pairs"`` as
-    #: per-pair ``TimeInterval`` lists
-    #: (:class:`~repro.core.result.JoinResultStore`).  Store-identical
-    #: either way (the differential suite proves it); ``"pairs"`` is the
-    #: ablation/oracle path.  The object engine always uses ``"pairs"``.
-    result_store: str = "columns"
     #: Engine class the sharded engine builds per shard: ``"object"``
     #: (the seed :class:`~repro.core.engine.ContinuousJoinEngine`) or
     #: ``"columnar"`` (:class:`~repro.core.columnar.ColumnarJoinEngine`,
@@ -110,10 +102,6 @@ class JoinConfig:
             object.__setattr__(self, "sanitize", True)
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
-        if not self.compile_kernels and os.environ.get(
-            "REPRO_COMPILE", ""
-        ) not in ("", "0"):
-            object.__setattr__(self, "compile_kernels", True)
         if not self.deltas and os.environ.get("REPRO_DELTAS", "") not in ("", "0"):
             object.__setattr__(self, "deltas", True)
         if self.space_size <= 0:
@@ -132,10 +120,6 @@ class JoinConfig:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.result_store not in ("columns", "pairs"):
-            raise ValueError(
-                f"result_store must be 'columns' or 'pairs', got {self.result_store!r}"
-            )
         if self.shard_engine not in ("object", "columnar"):
             raise ValueError(
                 f"shard_engine must be 'object' or 'columnar', got {self.shard_engine!r}"

@@ -425,7 +425,6 @@ def _new_tree(engine: ContinuousJoinEngine) -> TPRStarTree:
         node_capacity=engine.config.node_capacity,
         horizon=engine.config.effective_horizon,
         use_kernels=engine.config.use_kernels,
-        compile_kernels=engine.config.compile_kernels,
     )
 
 
@@ -437,7 +436,6 @@ def _new_forest(engine: ContinuousJoinEngine) -> MTBTree:
         buckets_per_tm=engine.config.buckets_per_tm,
         node_capacity=engine.config.node_capacity,
         use_kernels=engine.config.use_kernels,
-        compile_kernels=engine.config.compile_kernels,
     )
 
 

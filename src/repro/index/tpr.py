@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..geometry import INF, KineticBox, TimeInterval, intersection_interval, kernels
 from ..geometry.constants import CONTAIN_EPS as _CONTAIN_EPS
 from ..obs import tracker_span
@@ -60,12 +62,7 @@ class TPRTree:
         Route :meth:`search` pair tests through the vectorized NumPy
         kernels (one call per node instead of one per entry).  Results
         are identical to the scalar path; the flag exists for ablation
-        and as a fallback when NumPy is missing.
-    compile_kernels:
-        Route the batched choose-subtree cost grids through the
-        optional Numba backend (:mod:`repro.geometry.compiled`).
-        Bit-identical outputs; silently stays on NumPy when Numba is
-        absent.
+        against the scalar oracle.
     """
 
     #: Subclasses may enable R*-style forced reinsertion.
@@ -78,7 +75,6 @@ class TPRTree:
         horizon: float = DEFAULT_HORIZON,
         min_fill_ratio: float = 0.4,
         use_kernels: bool = True,
-        compile_kernels: bool = False,
     ):
         self.storage = storage if storage is not None else TreeStorage()
         max_cap = self.storage.max_node_capacity()
@@ -94,14 +90,7 @@ class TPRTree:
             raise ValueError("horizon must be positive")
         self.node_capacity = node_capacity
         self.horizon = float(horizon)
-        self.use_kernels = bool(use_kernels) and kernels.HAVE_NUMPY
-        self.compile_kernels = bool(compile_kernels)
-        self._backend = None
-        if self.compile_kernels:
-            from ..geometry import compiled
-
-            # None when Numba is absent: the documented silent fallback.
-            self._backend = compiled.get_backend()
+        self.use_kernels = bool(use_kernels)
         self.min_fill = max(1, int(node_capacity * min_fill_ratio))
         self.objects = ObjectTable()
         root = self.storage.new_node(level=0)
@@ -271,7 +260,6 @@ class TPRTree:
         self, kboxes: Sequence[KineticBox], t_now: float
     ) -> List[List[int]]:
         """Leaf routes (page-id chains) for a batch, one grid per node."""
-        np = kernels.np
         t_end = t_now + self.horizon
         obatch = kernels.KineticBatch.from_boxes(kboxes)
         routes: List[List[int]] = [[] for _ in kboxes]
@@ -286,7 +274,6 @@ class TPRTree:
                 obatch.compress(active),
                 t_now,
                 t_end,
-                backend=self._backend,
             )
             chosen = np.empty(len(active), dtype=np.intp)
             for col in range(len(active)):
@@ -465,7 +452,7 @@ class TPRTree:
                 lo, hi, ok = kernels.batch_probe_windows(
                     kernels.KineticBatch.from_entries(entries), region, t0, t1
                 )
-                for idx in kernels.np.nonzero(ok)[0].tolist():
+                for idx in np.nonzero(ok)[0].tolist():
                     if node.is_leaf:
                         results.append(
                             (entries[idx].ref, TimeInterval(lo[idx], hi[idx]))
@@ -505,7 +492,6 @@ class TPRTree:
             for j, region in enumerate(regions):
                 results[j] = self.search(region, t0, t1)
             return results
-        np = kernels.np
         qbatch = kernels.KineticBatch.from_boxes(regions)
         tracker = self.storage.tracker
         stack: List[Tuple[int, "np.ndarray"]] = [(self.root_id, np.arange(n))]

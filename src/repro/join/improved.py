@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..geometry import (
     INF,
     all_pairs_intersection,
@@ -107,7 +109,7 @@ class _JoinContext:
 
     def __init__(self, t_run: float, use_kernels: bool):
         self.t_run = t_run
-        self.use_kernels = use_kernels and kernels.HAVE_NUMPY
+        self.use_kernels = use_kernels
         self._bounds: dict = {}
         self._batches: dict = {}
 
@@ -363,7 +365,7 @@ def _entry_windows(
     if batch is not None:
         tracker.count_pair_tests(len(entries))
         lo, hi, ok = kernels.batch_probe_windows(batch, bound, t0, t1)
-        for idx in kernels.np.nonzero(ok)[0].tolist():
+        for idx in np.nonzero(ok)[0].tolist():
             yield entries[idx], (float(lo[idx]), float(hi[idx]))
         return
     for entry in entries:

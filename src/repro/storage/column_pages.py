@@ -18,15 +18,17 @@ stream.  The stream itself is a header then the raw column bytes in a
 fixed order (``oid``, ``tref``, then each bound row of ``mlo, mhi,
 vlo, vhi``), so a round trip is byte-exact.
 
-Stream versions: version-2 streams (magic ``RPROCOL2``) carry a version
-byte, the exact column-payload length, and a CRC32 of the payload,
-verified on load — a truncated chain or a flipped bit raises
+Formats: each on-disk form has exactly one version.  Page-chain
+streams (magic ``RPROCOL2``) carry a version byte, the exact
+column-payload length, and a CRC32 of the payload, verified on load — a
+truncated chain or a flipped bit raises
 :class:`~repro.storage.disk.CorruptPageError` instead of decoding
-garbage.  Legacy version-1 streams (magic ``RPROCOLS``, header only)
-stay loadable; new page chains are always written as version 2.  All
-three versions decode through one reader, :func:`read_column_stream`.
+garbage.  The retired header-only stream (magic ``RPROCOLS``) is
+rejected with a :class:`~repro.storage.disk.CorruptPageError` naming
+its magic, never decoded.  Both live forms decode through one reader,
+:func:`read_column_stream`.
 
-Memory-mapped slabs (version 3): :func:`save_columns_file` writes a
+Memory-mapped slabs: :func:`save_columns_file` writes a
 flat ``RPROCOL3`` file — a CRC-checked header, a per-slab CRC table,
 then the same slab order as the streams, 8-byte aligned — and
 :func:`map_columns` opens it as :class:`MappedColumns`: zero-copy
@@ -41,13 +43,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
 from ..geometry.box import NDIMS
 from ..geometry.kernels import KineticBatch
-from .disk import CorruptPageError
+from .disk import CorruptPageError, PageError
 
 __all__ = [
     "save_columns",
@@ -61,10 +63,10 @@ __all__ = [
     "MappedColumns",
 ]
 
-_MAGIC_V1 = b"RPROCOLS"
 _MAGIC_V2 = b"RPROCOL2"
 _MAGIC_V3 = b"RPROCOL3"
-_HEAD_V1 = struct.Struct("<8sqq")  # magic, n rows, ndims
+#: Magic of the retired header-only stream: rejected, never decoded.
+_MAGIC_RETIRED = b"RPROCOLS"
 _HEAD_V2 = struct.Struct("<8sBqqqI")  # magic, version, n, ndims, len, crc
 _HEAD_V3 = struct.Struct("<8sBqq")  # magic, version, n, ndims
 _VERSION = 2
@@ -72,7 +74,7 @@ _VERSION_V3 = 3
 _NEXT = struct.Struct("<q")
 _END = -1
 
-#: Slab order shared by every stream version: ``oid``, ``tref``, then
+#: Slab order shared by both formats: ``oid``, ``tref``, then
 #: each bound plane dimension-major (``mlo[0], mlo[1], mhi[0], …``).
 _N_SLABS = 2 + 4 * NDIMS
 _SLAB_NAMES = tuple(
@@ -105,13 +107,11 @@ def _encode(cols) -> bytes:
 
 
 def read_column_stream(stream: bytes):
-    """Decode any column-stream version into ``UpdateColumns``.
+    """Decode a column stream into ``UpdateColumns``.
 
     The one reader every load path funnels through: checksummed
-    version-2 streams, legacy version-1 streams (header without
-    integrity fields, but still length-checked against the declared row
-    count), and flat version-3 slab images (header + per-slab CRCs, as
-    written by :func:`save_columns_file`).
+    ``RPROCOL2`` page-chain streams and flat ``RPROCOL3`` slab images
+    (header + per-slab CRCs, as written by :func:`save_columns_file`).
     """
     from ..core.columns import UpdateColumns
 
@@ -131,17 +131,6 @@ def read_column_stream(stream: bytes):
         if zlib.crc32(payload) != crc:
             raise CorruptPageError("column stream failed its CRC32 check")
         pos = _HEAD_V2.size
-    elif magic == _MAGIC_V1:
-        if len(stream) < _HEAD_V1.size:
-            raise CorruptPageError("column stream header truncated")
-        _, n, ndims = _HEAD_V1.unpack_from(stream, 0)
-        pos = _HEAD_V1.size
-        need = _N_SLABS * 8 * n
-        if len(stream) - pos < need:
-            raise CorruptPageError(
-                f"column stream truncated: expected {need} payload "
-                f"bytes, found {len(stream) - pos}"
-            )
     elif magic == _MAGIC_V3:
         n, ndims, crcs = _parse_v3_header(stream)
         pos = _V3_HEADER_SIZE
@@ -156,6 +145,8 @@ def read_column_stream(stream: bytes):
                 raise CorruptPageError(
                     f"column slab {name!r} failed its CRC32 check"
                 )
+    elif magic == _MAGIC_RETIRED:
+        raise CorruptPageError(f"retired column-stream format {magic!r}")
     else:
         raise ValueError("not a column-page stream")
     if ndims != NDIMS:
@@ -256,7 +247,7 @@ def load_column_store(disk, root: int):
 
 
 # ----------------------------------------------------------------------
-# Version-3 flat slab images (memory-mapped reads)
+# RPROCOL3 flat slab images (memory-mapped reads)
 # ----------------------------------------------------------------------
 def _v3_header(n: int, slab_crcs: List[int]) -> bytes:
     """The padded ``RPROCOL3`` header for ``n`` rows."""
@@ -443,22 +434,18 @@ class MappedColumns:
         )
 
 
-def map_columns(path) -> Union[MappedColumns, "object"]:
-    """Open a persisted column file for reading, version-dispatched.
+def map_columns(path) -> MappedColumns:
+    """Open a persisted ``RPROCOL3`` slab image as :class:`MappedColumns`.
 
-    ``RPROCOL3`` slab images come back as :class:`MappedColumns`
-    (zero-copy, lazily verified).  Legacy ``RPROCOLS``/``RPROCOL2``
-    stream files have no aligned slab layout to map, so they are
-    materialized through :func:`read_column_stream` into
-    ``UpdateColumns`` — same reader path as the page chains, same
-    result columns, just without the mmap economics.
+    Zero-copy and lazily verified.  Nothing writes other column files:
+    a page-chain stream or a retired stream raises
+    :class:`~repro.storage.disk.PageError` naming its magic, and any
+    other file raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
-        if magic == _MAGIC_V3:
-            pass
-        elif magic in (_MAGIC_V1, _MAGIC_V2):
-            return read_column_stream(magic + fh.read())
-        else:
-            raise ValueError("not a column-page stream")
+    if magic in (_MAGIC_V2, _MAGIC_RETIRED):
+        raise PageError(f"{path}: {magic!r} is not an RPROCOL3 slab image")
+    if magic != _MAGIC_V3:
+        raise ValueError("not a column-page stream")
     return MappedColumns(path)

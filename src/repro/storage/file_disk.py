@@ -11,15 +11,19 @@ free-list head) followed by data pages at offset
 ``HEADER + page_id * page_size``.  Freed pages are chained through
 their first 8 bytes.
 
-Format versions
----------------
-Version 2 files (magic ``RPRODSK2``) frame every data page as
-``length, crc32, payload`` and verify the checksum on each
+Format
+------
+One version (magic ``RPRODSK2``): every data page is framed as
+``length, crc32, payload`` and the checksum is verified on each
 :meth:`~FileDiskManager.read_page`, raising
 :class:`~repro.storage.disk.CorruptPageError` on a flipped bit or a
-truncated page.  Version 1 files (magic ``RPRODISK``, length-only
-framing) remain fully readable and writable — the version is detected
-from the magic on open, and new files are always created as version 2.
+truncated page.  A file with the retired length-only magic
+``RPRODISK`` raises :class:`~repro.storage.disk.PageError` naming it on
+open and is never decoded.
+
+Only a missing or empty path counts as a new file.  Any other file
+must carry a full header, so opening a stray non-page file raises
+:class:`~repro.storage.disk.PageError` instead of overwriting it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ from .disk import DEFAULT_PAGE_SIZE, CorruptPageError, PageError
 
 __all__ = ["FileDiskManager"]
 
-_MAGIC_V1 = b"RPRODISK"
-_MAGIC_V2 = b"RPRODSK2"
+_MAGIC = b"RPRODSK2"
+#: Magic of the retired length-only format: rejected, never decoded.
+_MAGIC_RETIRED = b"RPRODISK"
 _HEADER = struct.Struct("<8sqqq")  # magic, page_size, next_id, free_head
-_PAGE_V1 = struct.Struct("<i")  # payload length
-_PAGE_V2 = struct.Struct("<iI")  # payload length, crc32(payload)
+_PAGE = struct.Struct("<iI")  # payload length, crc32(payload)
 _FREE_LINK = struct.Struct("<q")
 _NO_FREE = -1
 
@@ -66,21 +70,24 @@ class FileDiskManager:
         page_size: int = DEFAULT_PAGE_SIZE,
         tracker: Optional[CostTracker] = None,
     ):
-        if page_size <= _PAGE_V2.size:
+        if page_size <= _PAGE.size:
             raise ValueError("page_size too small")
         self.path = path
         self.tracker = tracker if tracker is not None else CostTracker()
-        exists = os.path.exists(path) and os.path.getsize(path) >= _HEADER.size
+        exists = os.path.exists(path) and os.path.getsize(path) > 0
         self._file = open(path, "r+b" if exists else "w+b")
         if exists:
-            self._load_header()
-            if self.page_size != page_size and page_size != DEFAULT_PAGE_SIZE:
-                raise PageError(
-                    f"file has page size {self.page_size}, asked for {page_size}"
-                )
+            try:
+                self._load_header()
+                if self.page_size != page_size and page_size != DEFAULT_PAGE_SIZE:
+                    raise PageError(
+                        f"file has page size {self.page_size}, asked for {page_size}"
+                    )
+            except PageError:
+                self._file.close()
+                raise
         else:
             self.page_size = page_size
-            self.format_version = 2
             self._next_id = 0
             self._free_head = _NO_FREE
             self._store_header()
@@ -106,7 +113,7 @@ class FileDiskManager:
             self._next_id += 1
         # Clear the page so a recycled slot never exposes a stale free
         # link as its framing header (all-zero framing decodes as the
-        # empty payload in both versions: crc32(b"") == 0).
+        # empty payload: crc32(b"") == 0).
         self._write_raw(pid, b"")
         self._allocated.add(pid)
         self._store_header()
@@ -123,21 +130,18 @@ class FileDiskManager:
         self._check(page_id)
         self.tracker.count_read()
         data = self._read_raw(page_id)
-        if self.format_version >= 2:
-            length, crc = _PAGE_V2.unpack_from(data, 0)
-            if length < 0 or length > self.page_size - _PAGE_V2.size:
-                raise CorruptPageError(
-                    f"{self.path}: page {page_id} has invalid payload "
-                    f"length {length}"
-                )
-            payload = bytes(data[_PAGE_V2.size : _PAGE_V2.size + length])
-            if zlib.crc32(payload) != crc:
-                raise CorruptPageError(
-                    f"{self.path}: page {page_id} failed its CRC32 check"
-                )
-            return payload
-        length = _PAGE_V1.unpack_from(data, 0)[0]
-        return bytes(data[_PAGE_V1.size : _PAGE_V1.size + length])
+        length, crc = _PAGE.unpack_from(data, 0)
+        if length < 0 or length > self.usable_page_size:
+            raise CorruptPageError(
+                f"{self.path}: page {page_id} has invalid payload "
+                f"length {length}"
+            )
+        payload = bytes(data[_PAGE.size : _PAGE.size + length])
+        if zlib.crc32(payload) != crc:
+            raise CorruptPageError(
+                f"{self.path}: page {page_id} failed its CRC32 check"
+            )
+        return payload
 
     def write_page(self, page_id: int, data: bytes) -> None:
         self._check(page_id)
@@ -147,11 +151,7 @@ class FileDiskManager:
                 f"{self.usable_page_size}"
             )
         self.tracker.count_write()
-        if self.format_version >= 2:
-            framed = _PAGE_V2.pack(len(data), zlib.crc32(data)) + data
-        else:
-            framed = _PAGE_V1.pack(len(data)) + data
-        self._write_raw(page_id, framed)
+        self._write_raw(page_id, _PAGE.pack(len(data), zlib.crc32(data)) + data)
 
     @property
     def num_pages(self) -> int:
@@ -160,8 +160,7 @@ class FileDiskManager:
     @property
     def usable_page_size(self) -> int:
         """Payload bytes one page can hold after framing overhead."""
-        frame = _PAGE_V2.size if self.format_version >= 2 else _PAGE_V1.size
-        return self.page_size - frame
+        return self.page_size - _PAGE.size
 
     def is_allocated(self, page_id: int) -> bool:
         return page_id in self._allocated
@@ -201,22 +200,25 @@ class FileDiskManager:
             raise PageError(f"page {page_id} is not allocated")
 
     def _store_header(self) -> None:
-        magic = _MAGIC_V2 if self.format_version >= 2 else _MAGIC_V1
         self._file.seek(0)
         self._file.write(
-            _HEADER.pack(magic, self.page_size, self._next_id, self._free_head)
+            _HEADER.pack(_MAGIC, self.page_size, self._next_id, self._free_head)
         )
 
     def _load_header(self) -> None:
         self._file.seek(0)
-        magic, page_size, next_id, free_head = _HEADER.unpack(
-            self._file.read(_HEADER.size)
-        )
-        if magic == _MAGIC_V2:
-            self.format_version = 2
-        elif magic == _MAGIC_V1:
-            self.format_version = 1
-        else:
+        head = self._file.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise PageError(
+                f"{self.path} is not a repro page file "
+                f"({len(head)} bytes, shorter than the page-file header)"
+            )
+        magic, page_size, next_id, free_head = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            if magic == _MAGIC_RETIRED:
+                raise PageError(
+                    f"{self.path} uses the retired page-file format {magic!r}"
+                )
             raise PageError(f"{self.path} is not a repro page file")
         self.page_size = page_size
         self._next_id = next_id
@@ -225,5 +227,5 @@ class FileDiskManager:
     def __repr__(self) -> str:
         return (
             f"FileDiskManager(path={self.path!r}, pages={self.num_pages}, "
-            f"page_size={self.page_size}, v{self.format_version})"
+            f"page_size={self.page_size})"
         )

@@ -1,6 +1,10 @@
 """Differential suite: ColumnResultStore is store-identical to the
 seed JoinResultStore.
 
+Engine level, the columnar engine (always a ``ColumnResultStore``) is
+driven in lockstep with the seed ``ContinuousJoinEngine`` (a
+``JoinResultStore``) off one vectorized update stream.
+
 The structure-of-arrays store must not be "close" — it must be
 *bit-identical* under every mutation the engines perform: batched adds,
 object removal, expiry pruning, and the delta ledger fed from array
@@ -16,6 +20,7 @@ import pytest
 from repro.core import (
     COLUMNAR_ALGORITHMS,
     ColumnarJoinEngine,
+    ContinuousJoinEngine,
     JoinConfig,
 )
 from repro.core.result import ColumnResultStore, JoinResultStore
@@ -40,44 +45,53 @@ def dump(store):
     )
 
 
-def drive(algorithm, *, result_store, sanitize=False, deltas=False, seed=31):
-    config = JoinConfig(
-        t_m=T_M, result_store=result_store, sanitize=sanitize, deltas=deltas
-    )
+def drive_both(algorithm, *, sanitize=False, deltas=False, seed=31):
+    """Seed and columnar engines in lockstep off one update stream.
+
+    The columnar engine takes each tick's batch as columns, the seed
+    engine the same rows as objects.
+    """
+    config = JoinConfig(t_m=T_M, sanitize=sanitize, deltas=deltas)
     arr = make_workload_arrays(
         N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
     )
-    engine = ColumnarJoinEngine(
-        arr.columns_a(), arr.columns_b(), algorithm=algorithm, config=config
+    cols_a, cols_b = arr.columns_a(), arr.columns_b()
+    seed_engine = ContinuousJoinEngine.create(
+        cols_a.objects(), cols_b.objects(), algorithm=algorithm, config=config
     )
-    engine.run_initial_join()
+    col_engine = ColumnarJoinEngine(
+        cols_a, cols_b, algorithm=algorithm, config=config
+    )
+    seed_engine.run_initial_join()
+    col_engine.run_initial_join()
     stream = VectorUpdateStream(arr, seed=seed + 5)
     for step in range(1, STEPS + 1):
         t = float(step)
-        engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
-        engine.apply_update_columns(upd_a, upd_b)
-    return engine
+        seed_engine.tick(t)
+        seed_engine.apply_updates(upd_a.objects() + upd_b.objects())
+        col_engine.tick(t)
+        col_engine.apply_update_columns(upd_a, upd_b)
+    return seed_engine, col_engine
 
 
 # ----------------------------------------------------------------------
-# Engine-level identity: columns store vs pairs store
+# Engine-level identity: columnar engine vs the seed engine
 # ----------------------------------------------------------------------
 class TestEngineIdentity:
     @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_store_identical_over_matrix(self, algorithm, sanitize):
-        pairs = drive(algorithm, result_store="pairs", sanitize=sanitize)
-        cols = drive(algorithm, result_store="columns", sanitize=sanitize)
-        assert isinstance(pairs.store, JoinResultStore)
+        seed_engine, cols = drive_both(algorithm, sanitize=sanitize)
+        pairs = seed_engine._strategy.store
+        assert isinstance(pairs, JoinResultStore)
         assert isinstance(cols.store, ColumnResultStore)
-        assert dump(pairs.store) == dump(cols.store)
+        assert dump(pairs) == dump(cols.store)
         assert len(cols.store) > 0  # the identity is not vacuous
 
     @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
     def test_delta_streams_identical(self, algorithm):
-        pairs = drive(algorithm, result_store="pairs", deltas=True)
-        cols = drive(algorithm, result_store="columns", deltas=True)
+        pairs, cols = drive_both(algorithm, deltas=True)
         assert pairs.ledger.ticks() == cols.ledger.ticks()
         for t in pairs.ledger.ticks():
             assert pairs.ledger.events_at(t) == cols.ledger.events_at(t), t
@@ -90,10 +104,6 @@ class TestEngineIdentity:
             config=JoinConfig(t_m=T_M),
         )
         assert isinstance(engine.store, ColumnResultStore)
-
-    def test_result_store_knob_validated(self):
-        with pytest.raises(ValueError, match="result_store"):
-            JoinConfig(t_m=T_M, result_store="rows")
 
 
 # ----------------------------------------------------------------------

@@ -98,15 +98,6 @@ def test_store_identical_across_distributions(algorithm, distribution):
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
 
 
-def test_compile_kernels_flag_falls_back_cleanly():
-    """Without Numba the flag must be a silent no-op, results unchanged."""
-    _, plain = drive_both("mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M))
-    _, flagged = drive_both(
-        "mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M, compile_kernels=True)
-    )
-    assert dump(plain.store) == dump(flagged.store)
-
-
 @pytest.mark.parametrize("shards", [1, 4])
 def test_merged_sharded_store_equals_columnar(shards):
     from repro.par import ShardedJoinEngine

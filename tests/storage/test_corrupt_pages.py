@@ -1,4 +1,4 @@
-"""CRC32 page integrity: corruption is detected, legacy formats load."""
+"""CRC32 page integrity: corruption is detected, retired formats are rejected."""
 
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ def page_offset(page_size: int, page_id: int) -> int:
     return _HEADER.size + page_id * page_size
 
 
-def write_legacy_v1(path: str, page_size: int, payloads) -> None:
-    """Synthesize a version-1 file (magic ``RPRODISK``, length-only)."""
+def write_retired_v1(path: str, page_size: int, payloads) -> None:
+    """Synthesize a file in the retired ``RPRODISK`` length-only format."""
     with open(path, "wb") as f:
         f.write(_HEADER.pack(b"RPRODISK", page_size, len(payloads), -1))
         for data in payloads:
@@ -50,12 +50,18 @@ def write_legacy_v1(path: str, page_size: int, payloads) -> None:
             f.write(framed.ljust(page_size, b"\x00"))
 
 
+def magic_of(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read(8)
+
+
 class TestFileDiskChecksums:
     def test_new_files_are_version_2(self, path):
         with FileDiskManager(path, page_size=128) as disk:
-            assert disk.format_version == 2
             assert disk.usable_page_size == 128 - 8
-        assert FileDiskManager(path).format_version == 2
+        assert magic_of(path) == b"RPRODSK2"
+        with FileDiskManager(path) as reopened:
+            assert reopened.usable_page_size == 128 - 8
 
     def test_payload_bit_flip_detected(self, path):
         disk = FileDiskManager(path, page_size=128)
@@ -94,22 +100,28 @@ class TestFileDiskChecksums:
             reopened.read_page(pid)
         reopened.close()
 
-    def test_legacy_v1_file_loads_and_writes(self, path):
-        write_legacy_v1(path, 128, [b"hello", b"world"])
-        disk = FileDiskManager(path)
-        assert disk.format_version == 1
-        assert disk.usable_page_size == 128 - 4
-        assert disk.read_page(0) == b"hello"
-        assert disk.read_page(1) == b"world"
-        # Writes to a legacy file keep the legacy framing (no CRC),
-        # so the file stays consistent with its declared version.
-        pid = disk.allocate()
-        disk.write_page(pid, b"x" * disk.usable_page_size)
-        disk.close()
-        reopened = FileDiskManager(path)
-        assert reopened.format_version == 1
-        assert reopened.read_page(pid) == b"x" * (128 - 4)
-        reopened.close()
+    def test_retired_v1_file_rejected(self, path):
+        write_retired_v1(path, 128, [b"hello", b"world"])
+        before = open(path, "rb").read()
+        with pytest.raises(PageError, match="RPRODISK"):
+            FileDiskManager(path)
+        assert open(path, "rb").read() == before
+
+    @pytest.mark.parametrize("size", [1, 10, _HEADER.size - 1])
+    def test_short_foreign_file_not_overwritten(self, tmp_path, size):
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"n" * size)
+        with pytest.raises(PageError, match="not a repro page file"):
+            FileDiskManager(str(notes))
+        assert notes.read_bytes() == b"n" * size
+
+    def test_empty_file_counts_as_new(self, path):
+        open(path, "wb").close()
+        with FileDiskManager(path, page_size=128) as disk:
+            disk.write_page(disk.allocate(), b"fresh")
+        assert magic_of(path) == b"RPRODSK2"
+        with FileDiskManager(path) as reopened:
+            assert reopened.read_page(0) == b"fresh"
 
     def test_recycled_page_reads_empty(self, path):
         disk = FileDiskManager(path, page_size=128)
@@ -150,13 +162,12 @@ class TestColumnStreamChecksums:
         with pytest.raises(CorruptPageError, match="CRC32"):
             column_pages._decode(bytes(stream))
 
-    def test_legacy_v1_stream_decodes(self):
+    def test_retired_v1_stream_rejected(self):
         cols = some_columns(n=25)
         payload = column_pages._encode(cols)[column_pages._HEAD_V2.size :]
-        legacy = (
-            column_pages._HEAD_V1.pack(b"RPROCOLS", len(cols), 2) + payload
-        )
-        assert_columns_equal(column_pages._decode(legacy), cols)
+        retired = struct.pack("<8sqq", b"RPROCOLS", len(cols), 2) + payload
+        with pytest.raises(CorruptPageError, match="RPROCOLS"):
+            column_pages.read_column_stream(retired)
 
     def test_unsupported_version_rejected(self):
         cols = some_columns(n=5)

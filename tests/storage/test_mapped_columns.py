@@ -1,7 +1,9 @@
 """Memory-mapped column slabs: RPROCOL3 round trips, lazy integrity,
-and legacy streams loading through the unified reader path."""
+and every other column file rejected by name."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -10,13 +12,12 @@ from repro.core import columns_from_objects
 from repro.storage import (
     CorruptPageError,
     MappedColumns,
+    PageError,
     map_columns,
     read_column_stream,
     save_columns_file,
 )
 from repro.storage.column_pages import (
-    _HEAD_V1,
-    _MAGIC_V1,
     _N_SLABS,
     _V3_HEADER_SIZE,
     _encode,
@@ -28,16 +29,10 @@ def some_columns(n=150, seed=3):
     return columns_from_objects(make_workload(n, "uniform", seed=seed).set_a)
 
 
-def encode_v1(cols) -> bytes:
-    """A legacy version-1 stream (header without integrity fields)."""
-    parts = [
-        np.ascontiguousarray(cols.oid, dtype="<i8").tobytes(),
-        np.ascontiguousarray(cols.tref, dtype="<f8").tobytes(),
-    ]
-    for column in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
-        for dim in range(column.shape[0]):
-            parts.append(np.ascontiguousarray(column[dim], dtype="<f8").tobytes())
-    return _HEAD_V1.pack(_MAGIC_V1, len(cols), cols.mlo.shape[0]) + b"".join(parts)
+def encode_retired_v1(cols) -> bytes:
+    """A stream in the retired ``RPROCOLS`` format (no integrity fields)."""
+    head = struct.pack("<8sqq", b"RPROCOLS", len(cols), cols.mlo.shape[0])
+    return head + _encode(cols)[struct.calcsize("<8sBqqqI") :]
 
 
 def assert_columns_equal(got, want):
@@ -172,11 +167,6 @@ class TestIntegrity:
         with pytest.raises(CorruptPageError, match="truncated"):
             read_column_stream(stream[: len(stream) - 8])
 
-    def test_v1_truncation_caught(self):
-        stream = encode_v1(some_columns())
-        with pytest.raises(CorruptPageError, match="truncated"):
-            read_column_stream(stream[: len(stream) - 8])
-
     def test_unknown_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.rcol3"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -187,25 +177,22 @@ class TestIntegrity:
 
 
 # ----------------------------------------------------------------------
-# Legacy formats through the new reader path
+# Other formats: rejected by name, never decoded
 # ----------------------------------------------------------------------
-class TestLegacyStreams:
-    def test_v2_file_materializes_via_map_columns(self, tmp_path):
-        cols = some_columns()
-        path = tmp_path / "legacy.rcol2"
-        path.write_bytes(_encode(cols))
-        back = map_columns(path)  # UpdateColumns, not MappedColumns
-        assert not isinstance(back, MappedColumns)
-        assert_columns_equal(back, cols)
+class TestRetiredFormats:
+    def test_stream_file_rejected_by_map_columns(self, tmp_path):
+        path = tmp_path / "chain.rcol2"
+        path.write_bytes(_encode(some_columns()))
+        with pytest.raises(PageError, match="RPROCOL2"):
+            map_columns(path)
 
-    def test_v1_file_materializes_via_map_columns(self, tmp_path):
-        cols = some_columns()
-        path = tmp_path / "legacy.rcols"
-        path.write_bytes(encode_v1(cols))
-        back = map_columns(path)
-        assert not isinstance(back, MappedColumns)
-        assert_columns_equal(back, cols)
+    def test_v1_file_rejected_by_map_columns(self, tmp_path):
+        path = tmp_path / "retired.rcols"
+        path.write_bytes(encode_retired_v1(some_columns()))
+        with pytest.raises(PageError, match="RPROCOLS"):
+            map_columns(path)
 
-    def test_v1_stream_via_unified_reader(self):
-        cols = some_columns()
-        assert_columns_equal(read_column_stream(encode_v1(cols)), cols)
+    def test_v1_stream_rejected_by_unified_reader(self):
+        stream = encode_retired_v1(some_columns())
+        with pytest.raises(CorruptPageError, match="RPROCOLS"):
+            read_column_stream(stream)
