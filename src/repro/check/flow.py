@@ -187,7 +187,7 @@ def _emitted_ops(
     table: SymbolTable, mod: ModuleInfo
 ) -> Dict[str, ast.AST]:
     """Command/shard ops this module emits: first elements of tuple
-    literals plus first arguments of ``_fan_all``/``_run_everywhere``.
+    literals plus first arguments of ``_fan_all``.
 
     The tuple-literal op slot must be a *name* resolving to a string:
     commands are always spelled with protocol constants, so a bare
@@ -204,7 +204,7 @@ def _emitted_ops(
                 out.setdefault(val, node)
         elif isinstance(node, ast.Call):
             name = terminal_call_name(node)
-            if name in ("_fan_all", "_run_everywhere") and node.args:
+            if name == "_fan_all" and node.args:
                 val = table.const_eval(mod, node.args[0])
                 if isinstance(val, str):
                     out.setdefault(val, node)

@@ -162,44 +162,34 @@ class UpdateColumns:
 
     def objects(self) -> List[MovingObject]:
         """Materialize the batch as :class:`MovingObject` instances."""
+        (xlo, ylo), (xhi, yhi) = self.mlo.tolist(), self.mhi.tolist()
+        vx, vy = self.vlo.tolist()
+        oids, trefs = self.oid.tolist(), self.tref.tolist()
         return [
             MovingObject(
-                int(self.oid[i]),
-                Box(
-                    float(self.mlo[0, i]),
-                    float(self.mhi[0, i]),
-                    float(self.mlo[1, i]),
-                    float(self.mhi[1, i]),
-                ),
-                float(self.vlo[0, i]),
-                float(self.vlo[1, i]),
-                t_ref=float(self.tref[i]),
+                oids[i], Box(xlo[i], xhi[i], ylo[i], yhi[i]), vx[i], vy[i], t_ref=trefs[i]
             )
-            for i in range(len(self))
+            for i in range(len(oids))
         ]
 
 
 def columns_from_objects(objs: Sequence[MovingObject]) -> UpdateColumns:
     """Pack moving objects into an :class:`UpdateColumns` batch."""
     k = len(objs)
-    out = UpdateColumns(
-        np.empty(k, dtype=np.int64),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty(k),
+    # One row of kinetic parameters per object: (mbr bounds, vbr
+    # bounds, t_ref), bounds interleaved lo/hi per dimension.
+    params = np.array(
+        [obj.kbox.params() for obj in objs], dtype=float
+    ).reshape(k, 4 * NDIMS + 1).T
+    mbr, vbr = params[: 2 * NDIMS], params[2 * NDIMS : 4 * NDIMS]
+    return UpdateColumns(
+        np.fromiter((obj.oid for obj in objs), dtype=np.int64, count=k),
+        np.ascontiguousarray(mbr[0::2]),
+        np.ascontiguousarray(mbr[1::2]),
+        np.ascontiguousarray(vbr[0::2]),
+        np.ascontiguousarray(vbr[1::2]),
+        np.ascontiguousarray(params[4 * NDIMS]),
     )
-    for i, obj in enumerate(objs):
-        kb = obj.kbox
-        out.oid[i] = obj.oid
-        out.tref[i] = kb.t_ref
-        for d in range(NDIMS):
-            out.mlo[d, i] = kb.mbr.lo(d)
-            out.mhi[d, i] = kb.mbr.hi(d)
-            out.vlo[d, i] = kb.vbr.lo(d)
-            out.vhi[d, i] = kb.vbr.hi(d)
-    return out
 
 
 class ColumnStore:

@@ -5,7 +5,9 @@ switches.  The kernel backend is not one of them (NumPy is the only
 one; ``use_kernels=False`` selects the scalar oracle), and neither is
 the result-store layout: the columnar engine always keeps
 :class:`~repro.core.result.ColumnResultStore`, the object engine
-:class:`~repro.core.result.JoinResultStore`.
+:class:`~repro.core.result.JoinResultStore`.  Self-checking has one
+switch, ``sanitize``, which runs the :mod:`repro.check` invariant
+sanitizer.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class JoinConfig:
     #: vectorized maintenance inside every shard).  Merged results are
     #: identical either way.
     shard_engine: str = "object"
-    #: Extra sanity checking inside the engine (slow; used by tests).
-    validate: bool = field(default=False, compare=False)
     #: Run the :mod:`repro.check` invariant sanitizer after every
     #: build/tick/update (slow; debugging and CI smoke tests).  Also
     #: forced on by the ``REPRO_SANITIZE=1`` environment variable.

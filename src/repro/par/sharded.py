@@ -1,10 +1,24 @@
-"""The sharded continuous-join engine (spatial partitioning + pool fan-out).
+"""The sharded continuous-join engine (spatial partitioning + worker fan-out).
 
 :class:`ShardedJoinEngine` splits both datasets into ``K`` spatial
 stripes (:class:`~repro.par.partition.StripePartition`); each shard
-owns a full, independent :class:`~repro.core.engine.ContinuousJoinEngine`
-— its own trees/MTB forest, result store, buffer and cost tracker —
-over the subset of objects whose *swept halo* touches the stripe.
+owns a full, independent serial engine over the subset of objects whose
+*swept halo* touches the stripe.  ``JoinConfig.shard_engine`` picks the
+engine class: the seed :class:`~repro.core.engine.ContinuousJoinEngine`
+(its own trees/MTB forest, result store, buffer and cost tracker) or
+the vectorized :class:`~repro.core.columnar.ColumnarJoinEngine`.
+
+Routing
+-------
+Every update batch, whether it arrives as objects or as
+:class:`~repro.core.columns.UpdateColumns`, goes through one router:
+the batch is packed into columns, each row's halo is swept and routed
+through the stripe cuts in one vectorized pass
+(:meth:`~repro.par.partition.StripePartition.spans_to_shards`), and one
+loop diffs old against new membership into per-shard ``update`` /
+``admit`` / ``evict`` ops.  The whole batch is checked first — unknown
+ids, ids of the other dataset, ids repeated in the batch — so a
+rejected batch changes no state and a corrected retry succeeds.
 
 Ghost-region correctness
 ------------------------
@@ -41,9 +55,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.columns import UpdateColumns, columns_from_objects
 from ..core.config import JoinConfig
-from ..geometry import Box
-from ..geometry.plane_sweep import sweep_bounds
 from ..metrics import CostSnapshot
 from ..objects import MovingObject
 from . import worker
@@ -126,8 +139,10 @@ class ShardedJoinEngine:
             )
         everything = list(self.objects_a.values()) + list(self.objects_b.values())
         self.partition = StripePartition.fit(everything, shards, axis)
+        first, last = self._halo_shards(columns_from_objects(everything))
         self._members: Dict[int, Tuple[int, ...]] = {
-            obj.oid: self.membership(obj) for obj in everything
+            obj.oid: tuple(range(lo, hi + 1))
+            for obj, lo, hi in zip(everything, first.tolist(), last.tolist())
         }
         self.update_count = 0
         self.initial_join_cost: Optional[CostSnapshot] = None
@@ -193,15 +208,23 @@ class ShardedJoinEngine:
             return 2.0 * t_m + self.config.bucket_length
         return 2.0 * t_m
 
-    def membership(self, obj: MovingObject) -> Tuple[int, ...]:
-        """Every shard whose stripe the object's halo sweeps."""
-        lo, hi = sweep_bounds(
-            obj.kbox,
-            self.partition.axis,
-            obj.t_ref,
-            obj.t_ref + self.ghost_horizon,
-        )
-        return self.partition.shards_for_span(lo, hi)
+    def _halo_shards(self, cols: UpdateColumns) -> Tuple[np.ndarray, np.ndarray]:
+        """Every shard each row's halo sweeps: ``first[k] .. last[k]``.
+
+        The swept extent of each row over ``[tref, tref + ghost_horizon]``
+        along the partition axis, routed through the stripe cuts.  The
+        ``dt`` terms reproduce :func:`~repro.geometry.plane_sweep.
+        sweep_bounds` (including its rounding), the membership rule the
+        SC402 sanitizer recomputes independently.
+        """
+        axis = self.partition.axis
+        tref = cols.tref
+        dt1 = (tref + self.ghost_horizon) - tref
+        mlo, mhi = cols.mlo[axis], cols.mhi[axis]
+        vlo, vhi = cols.vlo[axis], cols.vhi[axis]
+        lb = np.minimum(mlo + vlo * 0.0, mlo + vlo * dt1)
+        ub = np.maximum(mhi + vhi * 0.0, mhi + vhi * dt1)
+        return self.partition.spans_to_shards(lb, ub)
 
     # ------------------------------------------------------------------
     # Engine API (mirrors ContinuousJoinEngine)
@@ -225,7 +248,7 @@ class ShardedJoinEngine:
         self.now = t
         if self._merger is not None:
             self._merger.advance(t)
-        self._run_everywhere((OP_TICK, None, t))
+        self._fan_all(OP_TICK, t)
 
     def apply_update(self, obj: MovingObject) -> None:
         self.apply_updates([obj])
@@ -238,10 +261,10 @@ class ShardedJoinEngine:
         insert + probe — a new arrival has no stale pairs there);
         shards it left get an ``evict`` (index delete + pair removal —
         surviving pairs still live in every shard holding both
-        endpoints, with identical intervals).
+        endpoints, with identical intervals).  A batch with an unknown
+        or repeated id raises before any state changes.
         """
-        ops = self._route_updates(batch)
-        self._commit_ops(ops)
+        self._commit_ops(self._route_objects(batch))
 
     def _commit_ops(self, ops: "OrderedDict[int, List[Tuple]]") -> None:
         """Ship routed per-shard op batches; pull deltas in the same trip."""
@@ -264,16 +287,17 @@ class ShardedJoinEngine:
 
         Semantically identical to ``tick(t)`` followed by
         ``apply_updates(batch)`` followed by ``result_at(t)``, but each
-        shard receives its whole tick as one command list, so the pool
-        backend pays a single submit/result round trip per shard per
-        tick instead of three.
+        shard receives its whole tick as one command list, so the
+        worker backend pays a single send/receive round trip per shard
+        per tick instead of three.  A rejected batch leaves the clock
+        and every other state where it was.
         """
         if t < self.now:
             raise ValueError(f"time went backwards: {t} < {self.now}")
+        ops = self._route_objects(batch)
         self.now = t
         if self._merger is not None:
             self._merger.advance(t)
-        ops = self._route_updates(batch)
         cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
         for sid in range(self.n_shards):
             shard_cmds: List[Tuple] = [(OP_TICK, sid, t)]
@@ -298,44 +322,76 @@ class ShardedJoinEngine:
         """Column-batch group commit: the array-native update path.
 
         ``upd_a`` / ``upd_b`` are :class:`~repro.core.columns.
-        UpdateColumns` batches of already-registered objects (``vlo ==
-        vhi`` — object batches, not aggregated node bounds).  Halo
-        sweeps and stripe routing run vectorized over the whole batch
-        (:meth:`StripePartition.spans_to_shards`), then each shard is
-        shipped exactly the row slice it owns; routing decisions are
-        bit-identical to :meth:`apply_updates` on the same objects.
+        UpdateColumns` batches of already-registered objects of dataset
+        A and B (``vlo == vhi`` — object batches, not aggregated node
+        bounds).  Routing is the same as :meth:`apply_updates` on the
+        same objects.
         """
+        self._commit_ops(self._route(upd_a, upd_b))
+
+    def _route_objects(
+        self, batch: Iterable[MovingObject]
+    ) -> "OrderedDict[int, List[Tuple]]":
+        """Split an object batch by dataset, pack it and :meth:`_route` it."""
+        objs_a: List[MovingObject] = []
+        objs_b: List[MovingObject] = []
+        for obj in batch:
+            if obj.oid in self.objects_a:
+                objs_a.append(obj)
+            elif obj.oid in self.objects_b:
+                objs_b.append(obj)
+            else:
+                raise KeyError(f"unknown object id {obj.oid}")
+        return self._route(
+            columns_from_objects(objs_a), columns_from_objects(objs_b), objs_a, objs_b
+        )
+
+    def _route(
+        self,
+        upd_a: UpdateColumns,
+        upd_b: UpdateColumns,
+        objs_a: Optional[List[MovingObject]] = None,
+        objs_b: Optional[List[MovingObject]] = None,
+    ) -> "OrderedDict[int, List[Tuple]]":
+        """Resolve one same-timestamp batch into per-shard op lists,
+        updating the object registries and halo memberships.
+
+        Everything that can reject the batch runs before anything
+        changes: every id must belong to its side's dataset and appear
+        once, and every row must make a valid object and halo span.
+        ``objs_a`` / ``objs_b`` are the rows as objects when the caller
+        already holds them; otherwise they are built from the columns.
+        """
+        checked = []
+        for upd, objs, registry, dataset in (
+            (upd_a, objs_a, self.objects_a, "a"),
+            (upd_b, objs_b, self.objects_b, "b"),
+        ):
+            oids = upd.oid.tolist()
+            for oid in oids:
+                if oid not in registry:
+                    raise KeyError(f"unknown object id {oid} in dataset {dataset!r}")
+            if len(set(oids)) != len(oids):
+                raise ValueError("duplicate object ids in one update batch")
+            if not oids:
+                continue
+            first, last = self._halo_shards(upd)
+            checked.append((
+                upd.objects() if objs is None else objs,
+                first.tolist(),
+                last.tolist(),
+                registry,
+                dataset,
+            ))
         ops: "OrderedDict[int, List[Tuple]]" = OrderedDict(
             (sid, []) for sid in range(self.n_shards)
         )
-        for upd, registry, dataset in (
-            (upd_a, self.objects_a, "a"),
-            (upd_b, self.objects_b, "b"),
-        ):
-            k = len(upd)
-            if not k:
-                continue
-            first, last = self._route_columns(upd)
-            first_l, last_l = first.tolist(), last.tolist()
-            oids = upd.oid.tolist()
-            xlo, ylo = upd.mlo[0].tolist(), upd.mlo[1].tolist()
-            xhi, yhi = upd.mhi[0].tolist(), upd.mhi[1].tolist()
-            vx, vy = upd.vlo[0].tolist(), upd.vlo[1].tolist()
-            trefs = upd.tref.tolist()
-            for i in range(k):
-                oid = oids[i]
-                if oid not in registry:
-                    raise KeyError(f"unknown object id {oid}")
-                obj = MovingObject(
-                    oid,
-                    Box(xlo[i], xhi[i], ylo[i], yhi[i]),
-                    vx[i],
-                    vy[i],
-                    t_ref=trefs[i],
-                )
+        for objs, first, last, registry, dataset in checked:
+            for obj, lo, hi in zip(objs, first, last):
+                oid = obj.oid
                 registry[oid] = obj
                 old = self._members[oid]
-                new = tuple(range(first_l[i], last_l[i] + 1))
+                new = tuple(range(lo, hi + 1))
                 self._members[oid] = new
                 for sid in old:
                     if sid not in new:
@@ -345,57 +401,7 @@ class ShardedJoinEngine:
                         ops[sid].append((SHARD_OP_UPDATE, obj))
                     else:
                         ops[sid].append((SHARD_OP_ADMIT, obj, dataset))
-                self.update_count += 1
-        self._commit_ops(ops)
-
-    def _route_columns(self, upd) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized halo membership of one column batch.
-
-        Mirrors :meth:`membership` term for term: the swept extent of
-        each row over ``[tref, tref + ghost_horizon]`` along the
-        partition axis, routed through the stripe cuts.  The ``dt``
-        terms reproduce the scalar expression (including its rounding)
-        so the two paths never disagree on a boundary row.
-        """
-        axis = self.partition.axis
-        horizon = self.ghost_horizon
-        tref = upd.tref
-        dt1 = (tref + horizon) - tref
-        mlo, mhi = upd.mlo[axis], upd.mhi[axis]
-        vlo, vhi = upd.vlo[axis], upd.vhi[axis]
-        lb = np.minimum(mlo + vlo * 0.0, mlo + vlo * dt1)
-        ub = np.maximum(mhi + vhi * 0.0, mhi + vhi * dt1)
-        return self.partition.spans_to_shards(lb, ub)
-
-    def _route_updates(
-        self, batch: Iterable[MovingObject]
-    ) -> "OrderedDict[int, List[Tuple]]":
-        """Resolve one same-timestamp batch into per-shard op lists,
-        updating the object registries and halo memberships."""
-        ops: "OrderedDict[int, List[Tuple]]" = OrderedDict(
-            (sid, []) for sid in range(self.n_shards)
-        )
-        for obj in batch:
-            if obj.oid in self.objects_a:
-                dataset = "a"
-                self.objects_a[obj.oid] = obj
-            elif obj.oid in self.objects_b:
-                dataset = "b"
-                self.objects_b[obj.oid] = obj
-            else:
-                raise KeyError(f"unknown object id {obj.oid}")
-            old = self._members[obj.oid]
-            new = self.membership(obj)
-            self._members[obj.oid] = new
-            for sid in old:
-                if sid not in new:
-                    ops[sid].append((SHARD_OP_EVICT, obj.oid))
-            for sid in new:
-                if sid in old:
-                    ops[sid].append((SHARD_OP_UPDATE, obj))
-                else:
-                    ops[sid].append((SHARD_OP_ADMIT, obj, dataset))
-            self.update_count += 1
+            self.update_count += len(objs)
         return ops
 
     def result_at(self, t: Optional[float] = None) -> Set[PairKey]:
@@ -638,12 +644,8 @@ class ShardedJoinEngine:
         )
         return {sid: res[0] for sid, res in self._backend.run(cmds).items()}
 
-    def _run_everywhere(self, template: Tuple) -> None:
-        op, _sid, *args = template
-        self._fan_all(op, *args)
-
     def close(self) -> None:
-        """Shut down pool workers (no-op when serial or already closed)."""
+        """Shut down worker processes (no-op when serial or already closed)."""
         if not self._closed:
             self._backend.close()
             self._closed = True

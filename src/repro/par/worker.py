@@ -1,11 +1,11 @@
 """Worker-side execution of shard commands.
 
-A shard's engine is stateful, so pool execution routes every command
-for shard ``s`` to the *same* single-worker executor; inside that
-process the engine lives in the module-global :data:`_ENGINES`
-registry, keyed by shard id.  The serial (``workers=0``) backend runs
-the identical :func:`execute` dispatch on an in-process registry, so
-both paths share one command semantics.
+A shard's engine is stateful, so the supervisor sends every command for
+shard ``s`` to the *same* worker process; there :func:`serve` keeps the
+engine in the module-global :data:`_ENGINES` registry, keyed by shard
+id.  The serial (``workers=0``) backend runs the identical
+:func:`execute` dispatch on an in-process registry, so both paths share
+one command semantics.
 
 Commands are plain tuples ``(op, shard_id, *args)``; results are plain
 picklable values (tuples, dicts, :class:`~repro.metrics.CostSnapshot`).
@@ -43,7 +43,6 @@ from .protocol import (
 __all__ = [
     "build_spec",
     "execute",
-    "run_commands",
     "apply_shard_ops",
     "serve",
     "make_checkpoint",
@@ -65,7 +64,8 @@ CHECKPOINT_FORMAT = "repro.par.ckpt/4"
 #: Either engine class a shard may run (``JoinConfig.shard_engine``).
 ShardEngine = Union[ContinuousJoinEngine, ColumnarJoinEngine]
 
-#: Per-process registry of shard engines (pool workers only).
+#: Per-process registry of shard engines (worker processes only; the
+#: serial backend keeps its own).
 _ENGINES: Dict[int, ShardEngine] = {}
 
 
@@ -358,11 +358,6 @@ def execute(
     return out
 
 
-def run_commands(cmds: Sequence[Tuple]) -> List[Any]:
-    """Pool-worker entry point: dispatch against this process's registry."""
-    return execute(_ENGINES, cmds)
-
-
 def serve(conn, fault_spec: Optional[str] = None) -> None:
     """Pipe-worker main loop: answer command batches until told to stop.
 
@@ -392,7 +387,7 @@ def serve(conn, fault_spec: Optional[str] = None) -> None:
             if plan:
                 for cmd in cmds:
                     plan.before_command(cmd)
-            results = run_commands(cmds)
+            results = execute(_ENGINES, cmds)
             if plan:
                 plan.poison_results(cmds, results)
             reply = ("ok", results)

@@ -7,17 +7,7 @@ exact while the experiments stay laptop-fast.
 """
 
 from .buffer import DEFAULT_BUFFER_PAGES, BufferPool, PageCodec
-from .column_pages import (
-    MappedColumns,
-    free_columns,
-    load_column_store,
-    load_columns,
-    map_columns,
-    read_column_stream,
-    save_column_store,
-    save_columns,
-    save_columns_file,
-)
+from .column_pages import MappedColumns, map_columns, save_columns_file
 from .disk import DEFAULT_PAGE_SIZE, CorruptPageError, DiskManager, PageError
 from .file_disk import FileDiskManager
 from .serializer import BytesCodec, StructReader, StructWriter
@@ -29,12 +19,6 @@ __all__ = [
     "DiskManager",
     "FileDiskManager",
     "PageError",
-    "save_columns",
-    "load_columns",
-    "free_columns",
-    "save_column_store",
-    "load_column_store",
-    "read_column_stream",
     "save_columns_file",
     "map_columns",
     "MappedColumns",

@@ -1,42 +1,28 @@
-"""Columnar dataset persistence: column arrays on chained pages.
+"""Columnar dataset persistence: one flat, memory-mapped slab file.
 
 The columnar engine's single source of truth is the contiguous
-:class:`~repro.core.columns.ColumnStore`.  This module gives those
-columns the same durability the trees get from the page substrate: the
-six live arrays are serialized into one little-endian byte stream and
-spread across a chain of fixed-size pages in any disk manager that
-speaks the ``allocate / read_page / write_page`` protocol (the
-in-memory :class:`~repro.storage.disk.DiskManager` for counted
-experiments, :class:`~repro.storage.file_disk.FileDiskManager` for real
-files).  Page I/O is counted by the manager's tracker like every other
-page touch, so persisting a dataset shows up honestly in the cost
-model.
+:class:`~repro.core.columns.ColumnStore`.  This module persists a
+column batch in one format, ``RPROCOL3``, and reads it back through one
+reader.
 
-Layout: every page payload starts with an 8-byte little-endian *next*
-page id (``-1`` ends the chain) followed by the next slice of the
-stream.  The stream itself is a header then the raw column bytes in a
-fixed order (``oid``, ``tref``, then each bound row of ``mlo, mhi,
-vlo, vhi``), so a round trip is byte-exact.
-
-Formats: each on-disk form has exactly one version.  Page-chain
-streams (magic ``RPROCOL2``) carry a version byte, the exact
-column-payload length, and a CRC32 of the payload, verified on load — a
-truncated chain or a flipped bit raises
-:class:`~repro.storage.disk.CorruptPageError` instead of decoding
-garbage.  The retired header-only stream (magic ``RPROCOLS``) is
-rejected with a :class:`~repro.storage.disk.CorruptPageError` naming
-its magic, never decoded.  Both live forms decode through one reader,
-:func:`read_column_stream`.
-
-Memory-mapped slabs: :func:`save_columns_file` writes a
-flat ``RPROCOL3`` file — a CRC-checked header, a per-slab CRC table,
-then the same slab order as the streams, 8-byte aligned — and
+:func:`save_columns_file` writes a flat file: a CRC-checked header, a
+per-slab CRC table, then the raw column slabs in a fixed order
+(``oid``, ``tref``, then each bound plane of ``mlo, mhi, vlo, vhi``),
+8 bytes per element and 8-byte aligned, so a round trip is byte-exact.
 :func:`map_columns` opens it as :class:`MappedColumns`: zero-copy
 ``np.memmap`` views per column, slab CRCs verified lazily on first
 touch, and the derived ``slo``/``shi`` shift planes recomputed lazily
-per mapped slab.  This is how a 1M-object dataset reloads without full
+per mapped slab; :meth:`MappedColumns.columns` materializes the whole
+batch.  This is how a 1M-object dataset reloads without full
 deserialization: opening validates only the fixed header, and a probe
 that touches two columns faults in two slabs, not the whole file.
+
+A truncated file or a flipped bit raises
+:class:`~repro.storage.disk.CorruptPageError` instead of decoding
+garbage.  Column files of the retired formats — ``RPROCOL2`` page-chain
+streams and header-only ``RPROCOLS`` streams — are rejected with a
+:class:`~repro.storage.disk.PageError` naming their magic, never
+decoded.
 """
 
 from __future__ import annotations
@@ -52,30 +38,19 @@ from ..geometry.kernels import KineticBatch
 from .disk import CorruptPageError, PageError
 
 __all__ = [
-    "save_columns",
-    "load_columns",
-    "free_columns",
-    "save_column_store",
-    "load_column_store",
-    "read_column_stream",
     "save_columns_file",
     "map_columns",
     "MappedColumns",
 ]
 
-_MAGIC_V2 = b"RPROCOL2"
 _MAGIC_V3 = b"RPROCOL3"
-#: Magic of the retired header-only stream: rejected, never decoded.
-_MAGIC_RETIRED = b"RPROCOLS"
-_HEAD_V2 = struct.Struct("<8sBqqqI")  # magic, version, n, ndims, len, crc
+#: Magics of the retired column formats: rejected by name, never decoded.
+_RETIRED_MAGICS = (b"RPROCOL2", b"RPROCOLS")
 _HEAD_V3 = struct.Struct("<8sBqq")  # magic, version, n, ndims
-_VERSION = 2
 _VERSION_V3 = 3
-_NEXT = struct.Struct("<q")
-_END = -1
 
-#: Slab order shared by both formats: ``oid``, ``tref``, then
-#: each bound plane dimension-major (``mlo[0], mlo[1], mhi[0], …``).
+#: Slab order: ``oid``, ``tref``, then each bound plane
+#: dimension-major (``mlo[0], mlo[1], mhi[0], …``).
 _N_SLABS = 2 + 4 * NDIMS
 _SLAB_NAMES = tuple(
     ["oid", "tref"]
@@ -88,167 +63,6 @@ _HEAD_CRC = struct.Struct("<I")
 _V3_HEADER_SIZE = -(-(_HEAD_V3.size + _CRC_TABLE.size + _HEAD_CRC.size) // 8) * 8
 
 
-def _encode(cols) -> bytes:
-    """The column batch as one contiguous little-endian byte stream."""
-    n = len(cols)
-    parts: List[bytes] = []
-    parts.append(np.ascontiguousarray(cols.oid, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(cols.tref, dtype="<f8").tobytes())
-    for column in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
-        for dim in range(NDIMS):
-            parts.append(
-                np.ascontiguousarray(column[dim], dtype="<f8").tobytes()
-            )
-    payload = b"".join(parts)
-    head = _HEAD_V2.pack(
-        _MAGIC_V2, _VERSION, n, NDIMS, len(payload), zlib.crc32(payload)
-    )
-    return head + payload
-
-
-def read_column_stream(stream: bytes):
-    """Decode a column stream into ``UpdateColumns``.
-
-    The one reader every load path funnels through: checksummed
-    ``RPROCOL2`` page-chain streams and flat ``RPROCOL3`` slab images
-    (header + per-slab CRCs, as written by :func:`save_columns_file`).
-    """
-    from ..core.columns import UpdateColumns
-
-    magic = stream[:8] if len(stream) >= 8 else b""
-    if magic == _MAGIC_V2:
-        if len(stream) < _HEAD_V2.size:
-            raise CorruptPageError("column stream header truncated")
-        _, version, n, ndims, length, crc = _HEAD_V2.unpack_from(stream, 0)
-        if version != _VERSION:
-            raise ValueError(f"unsupported column-stream version {version}")
-        payload = stream[_HEAD_V2.size : _HEAD_V2.size + length]
-        if len(payload) < length:
-            raise CorruptPageError(
-                f"column stream truncated: expected {length} payload "
-                f"bytes, found {len(payload)}"
-            )
-        if zlib.crc32(payload) != crc:
-            raise CorruptPageError("column stream failed its CRC32 check")
-        pos = _HEAD_V2.size
-    elif magic == _MAGIC_V3:
-        n, ndims, crcs = _parse_v3_header(stream)
-        pos = _V3_HEADER_SIZE
-        if len(stream) - pos < _N_SLABS * 8 * n:
-            raise CorruptPageError(
-                f"column slab image truncated: expected {_N_SLABS * 8 * n} "
-                f"slab bytes, found {len(stream) - pos}"
-            )
-        for i, name in enumerate(_SLAB_NAMES):
-            slab = stream[pos + i * 8 * n : pos + (i + 1) * 8 * n]
-            if zlib.crc32(slab) != crcs[i]:
-                raise CorruptPageError(
-                    f"column slab {name!r} failed its CRC32 check"
-                )
-    elif magic == _MAGIC_RETIRED:
-        raise CorruptPageError(f"retired column-stream format {magic!r}")
-    else:
-        raise ValueError("not a column-page stream")
-    if ndims != NDIMS:
-        raise ValueError(f"stream has {ndims} dimensions, library has {NDIMS}")
-    oid = np.frombuffer(stream, dtype="<i8", count=n, offset=pos).astype(np.int64)
-    pos += 8 * n
-    tref = np.frombuffer(stream, dtype="<f8", count=n, offset=pos).astype(float)
-    pos += 8 * n
-    bounds = []
-    for _ in range(4):
-        rows = []
-        for _dim in range(NDIMS):
-            rows.append(
-                np.frombuffer(stream, dtype="<f8", count=n, offset=pos).astype(float)
-            )
-            pos += 8 * n
-        bounds.append(np.vstack(rows) if n else np.empty((NDIMS, 0)))
-    mlo, mhi, vlo, vhi = bounds
-    return UpdateColumns(oid=oid, mlo=mlo, mhi=mhi, vlo=vlo, vhi=vhi, tref=tref)
-
-
-# Page-chain loads and flat-file materialization share the reader.
-_decode = read_column_stream
-
-
-def save_columns(disk, cols) -> int:
-    """Persist one column batch; returns the root page id of the chain."""
-    stream = _encode(cols)
-    usable = getattr(disk, "usable_page_size", disk.page_size - 4)
-    chunk = min(disk.page_size - 4, usable) - _NEXT.size
-    if chunk <= 0:
-        raise ValueError("page size too small for column pages")
-    n_pages = max(1, -(-len(stream) // chunk))
-    pages = [disk.allocate() for _ in range(n_pages)]
-    for k, pid in enumerate(pages):
-        nxt = pages[k + 1] if k + 1 < n_pages else _END
-        disk.write_page(
-            pid, _NEXT.pack(nxt) + stream[k * chunk : (k + 1) * chunk]
-        )
-    return pages[0]
-
-
-def load_columns(disk, root: int):
-    """Read a column chain back as ``UpdateColumns`` (byte-exact)."""
-    parts: List[bytes] = []
-    pid = root
-    while pid != _END:
-        payload = disk.read_page(pid)
-        pid = _NEXT.unpack_from(payload, 0)[0]
-        parts.append(payload[_NEXT.size :])
-    return _decode(b"".join(parts))
-
-
-def free_columns(disk, root: int) -> int:
-    """Deallocate a column chain; returns the number of pages freed."""
-    freed = 0
-    pid = root
-    while pid != _END:
-        payload = disk.read_page(pid)
-        nxt = _NEXT.unpack_from(payload, 0)[0]
-        disk.deallocate(pid)
-        pid = nxt
-        freed += 1
-    return freed
-
-
-def save_column_store(disk, store) -> int:
-    """Persist the live prefix of a ``ColumnStore``.
-
-    The derived ``slo``/``shi`` planes are not written — they are
-    recomputed on load by the store's own insert path, which keeps the
-    on-page format minimal and the recomputation bit-exact by
-    construction.
-    """
-    from ..core.columns import UpdateColumns
-
-    n = len(store)
-    cols = UpdateColumns(
-        oid=np.ascontiguousarray(store.oid[:n]),
-        mlo=np.ascontiguousarray(store.mlo[:, :n]),
-        mhi=np.ascontiguousarray(store.mhi[:, :n]),
-        vlo=np.ascontiguousarray(store.vlo[:, :n]),
-        vhi=np.ascontiguousarray(store.vhi[:, :n]),
-        tref=np.ascontiguousarray(store.tref[:n]),
-    )
-    return save_columns(disk, cols)
-
-
-def load_column_store(disk, root: int):
-    """Rebuild a ``ColumnStore`` from a persisted chain."""
-    from ..core.columns import ColumnStore
-
-    store = ColumnStore()
-    cols = load_columns(disk, root)
-    if len(cols):
-        store.add(cols)
-    return store
-
-
-# ----------------------------------------------------------------------
-# RPROCOL3 flat slab images (memory-mapped reads)
-# ----------------------------------------------------------------------
 def _v3_header(n: int, slab_crcs: List[int]) -> bytes:
     """The padded ``RPROCOL3`` header for ``n`` rows."""
     head = _HEAD_V3.pack(_MAGIC_V3, _VERSION_V3, n, NDIMS)
@@ -282,7 +96,7 @@ def _parse_v3_header(buf) -> tuple:
 def save_columns_file(path, cols) -> int:
     """Write one column batch as a flat ``RPROCOL3`` slab image.
 
-    Slabs land in the shared stream order, each 8 bytes per element and
+    Slabs land in the fixed slab order, each 8 bytes per element and
     8-byte aligned, so :func:`map_columns` can hand out zero-copy views.
     Returns the number of bytes written.
     """
@@ -438,13 +252,13 @@ def map_columns(path) -> MappedColumns:
     """Open a persisted ``RPROCOL3`` slab image as :class:`MappedColumns`.
 
     Zero-copy and lazily verified.  Nothing writes other column files:
-    a page-chain stream or a retired stream raises
+    a retired ``RPROCOL2`` or ``RPROCOLS`` stream raises
     :class:`~repro.storage.disk.PageError` naming its magic, and any
     other file raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
-    if magic in (_MAGIC_V2, _MAGIC_RETIRED):
+    if magic in _RETIRED_MAGICS:
         raise PageError(f"{path}: {magic!r} is not an RPROCOL3 slab image")
     if magic != _MAGIC_V3:
         raise ValueError("not a column-page stream")

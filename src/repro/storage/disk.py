@@ -31,11 +31,12 @@ class PageError(Exception):
 class CorruptPageError(PageError):
     """Raised when persisted bytes fail their integrity checksum.
 
-    The file-backed substrates (:mod:`repro.storage.file_disk`,
-    :mod:`repro.storage.column_pages`) guard every payload with a CRC32
-    recorded at write time and verified on read; a mismatch — a
-    truncated file, a flipped bit, a short page — surfaces as this
-    error instead of silently decoding garbage.
+    The file-backed substrates guard their bytes with CRC32s recorded
+    at write time and verified on read: :mod:`repro.storage.file_disk`
+    checks every page payload, :mod:`repro.storage.column_pages` the
+    ``RPROCOL3`` header and each column slab.  A mismatch — a truncated
+    file, a flipped bit, a short page — surfaces as this error instead
+    of silently decoding garbage.
     """
 
 

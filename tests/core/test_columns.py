@@ -23,6 +23,22 @@ class TestUpdateColumns:
         for a, b in zip(objs, back):
             assert a.kbox.params() == b.kbox.params()
 
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_pack_matches_per_object_reference(self, n):
+        objs = some_objects(max(n, 1))[:n]
+        cols = columns_from_objects(objs)
+        assert cols.oid.dtype == np.int64 and cols.oid.tolist() == [o.oid for o in objs]
+        for name, box, side in (
+            ("mlo", "mbr", "lo"), ("mhi", "mbr", "hi"),
+            ("vlo", "vbr", "lo"), ("vhi", "vbr", "hi"),
+        ):
+            plane = getattr(cols, name)
+            assert plane.shape == (2, n) and plane.flags.c_contiguous, name
+            for d in range(2):
+                want = [getattr(getattr(o.kbox, box), side)(d) for o in objs]
+                assert plane[d].tolist() == want, (name, d)
+        assert cols.tref.tolist() == [o.t_ref for o in objs]
+
     def test_empty(self):
         cols = UpdateColumns.empty()
         assert len(cols) == 0

@@ -6,20 +6,7 @@ import struct
 
 import pytest
 
-from repro.storage import (
-    CorruptPageError,
-    DiskManager,
-    FileDiskManager,
-    PageError,
-    load_column_store,
-    load_columns,
-    save_column_store,
-    save_columns,
-)
-from repro.storage import column_pages
-
-from ..conftest import random_objects
-from .test_column_pages import assert_columns_equal, some_columns
+from repro.storage import CorruptPageError, FileDiskManager, PageError
 
 _HEADER = struct.Struct("<8sqqq")
 
@@ -148,58 +135,3 @@ class TestFileDiskChecksums:
         with pytest.raises(PageError):
             disk.write_page(pid, b"x" * (disk.usable_page_size + 1))
         disk.close()
-
-
-class TestColumnStreamChecksums:
-    def test_truncated_stream_detected(self):
-        stream = column_pages._encode(some_columns(n=30))
-        with pytest.raises(CorruptPageError, match="truncated"):
-            column_pages._decode(stream[:-10])
-
-    def test_payload_bit_flip_detected(self):
-        stream = bytearray(column_pages._encode(some_columns(n=30)))
-        stream[column_pages._HEAD_V2.size + 11] ^= 0x20
-        with pytest.raises(CorruptPageError, match="CRC32"):
-            column_pages._decode(bytes(stream))
-
-    def test_retired_v1_stream_rejected(self):
-        cols = some_columns(n=25)
-        payload = column_pages._encode(cols)[column_pages._HEAD_V2.size :]
-        retired = struct.pack("<8sqq", b"RPROCOLS", len(cols), 2) + payload
-        with pytest.raises(CorruptPageError, match="RPROCOLS"):
-            column_pages.read_column_stream(retired)
-
-    def test_unsupported_version_rejected(self):
-        cols = some_columns(n=5)
-        stream = bytearray(column_pages._encode(cols))
-        stream[8] = 9  # the version byte right after the magic
-        with pytest.raises(ValueError, match="version"):
-            column_pages._decode(bytes(stream))
-
-    def test_round_trip_on_checksummed_file(self, tmp_path):
-        from repro.core import ColumnStore
-
-        objs = random_objects(5, 60)
-        store = ColumnStore.from_objects(objs)
-        disk = FileDiskManager(str(tmp_path / "cols.db"), page_size=256)
-        root = save_column_store(disk, store)
-        back = load_column_store(disk, root)
-        n = len(store)
-        assert back.oid[:n].tolist() == store.oid[:n].tolist()
-        disk.close()
-
-    def test_chunking_respects_usable_page_size(self, tmp_path):
-        # v2 file pages lose 8 framing bytes; the chain must never ask
-        # a page to hold more than it can.
-        disk = FileDiskManager(str(tmp_path / "tight.db"), page_size=64)
-        cols = some_columns(n=40)
-        root = save_columns(disk, cols)
-        assert_columns_equal(load_columns(disk, root), cols)
-        disk.close()
-
-    def test_in_memory_disk_unchanged(self):
-        disk = DiskManager(page_size=512)
-        assert disk.usable_page_size == 512
-        cols = some_columns(n=40)
-        root = save_columns(disk, cols)
-        assert_columns_equal(load_columns(disk, root), cols)

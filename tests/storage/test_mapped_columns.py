@@ -1,9 +1,14 @@
 """Memory-mapped column slabs: RPROCOL3 round trips, lazy integrity,
-and every other column file rejected by name."""
+and every other column file rejected by name.
+
+``map_columns`` is the one column-file reader; ``MappedColumns.columns()``
+is its full decode.
+"""
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,14 +19,9 @@ from repro.storage import (
     MappedColumns,
     PageError,
     map_columns,
-    read_column_stream,
     save_columns_file,
 )
-from repro.storage.column_pages import (
-    _N_SLABS,
-    _V3_HEADER_SIZE,
-    _encode,
-)
+from repro.storage.column_pages import _N_SLABS, _V3_HEADER_SIZE
 from repro.workloads import make_workload
 
 
@@ -29,10 +29,28 @@ def some_columns(n=150, seed=3):
     return columns_from_objects(make_workload(n, "uniform", seed=seed).set_a)
 
 
+def raw_slabs(cols) -> bytes:
+    """The column payload in slab order, as both retired streams held it."""
+    parts = [cols.oid.astype("<i8").tobytes(), cols.tref.astype("<f8").tobytes()]
+    for plane in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
+        parts.extend(row.astype("<f8").tobytes() for row in plane)
+    return b"".join(parts)
+
+
+def encode_retired_v2(cols) -> bytes:
+    """A stream in the retired ``RPROCOL2`` page-chain format."""
+    payload = raw_slabs(cols)
+    head = struct.pack(
+        "<8sBqqqI", b"RPROCOL2", 2, len(cols), cols.mlo.shape[0],
+        len(payload), zlib.crc32(payload),
+    )
+    return head + payload
+
+
 def encode_retired_v1(cols) -> bytes:
     """A stream in the retired ``RPROCOLS`` format (no integrity fields)."""
     head = struct.pack("<8sqq", b"RPROCOLS", len(cols), cols.mlo.shape[0])
-    return head + _encode(cols)[struct.calcsize("<8sBqqqI") :]
+    return head + raw_slabs(cols)
 
 
 def assert_columns_equal(got, want):
@@ -117,10 +135,15 @@ class TestMappedColumns:
         assert_columns_equal(map_columns(path).columns(), cols)
 
     def test_v3_bytes_through_unified_reader(self, tmp_path):
-        cols = some_columns()
+        """The full decode owns its arrays: in memory and writable, not
+        read-only views of the mapped file."""
         path = tmp_path / "cols.rcol3"
-        save_columns_file(path, cols)
-        assert_columns_equal(read_column_stream(path.read_bytes()), cols)
+        save_columns_file(path, some_columns())
+        back = map_columns(path).columns()
+        for name in ("oid", "mlo", "mhi", "vlo", "vhi", "tref"):
+            column = getattr(back, name)
+            assert not isinstance(column, np.memmap), name
+            assert column.flags.writeable and column.flags.owndata, name
 
 
 # ----------------------------------------------------------------------
@@ -162,18 +185,27 @@ class TestIntegrity:
         with pytest.raises(CorruptPageError, match="truncated"):
             map_columns(path)
 
-    def test_v2_truncation_caught(self):
-        stream = _encode(some_columns())
-        with pytest.raises(CorruptPageError, match="truncated"):
-            read_column_stream(stream[: len(stream) - 8])
+    def test_v2_truncation_caught(self, tmp_path):
+        """A cut-short retired stream is named, not read as a truncated
+        slab image: the magic decides before any size check."""
+        path = tmp_path / "chain.rcol2"
+        stream = encode_retired_v2(some_columns())
+        path.write_bytes(stream[: len(stream) // 2])
+        with pytest.raises(PageError, match="RPROCOL2") as info:
+            map_columns(path)
+        assert not isinstance(info.value, CorruptPageError)
+
+    def test_header_truncation_caught_at_open(self, tmp_path):
+        path = self.write(tmp_path)
+        path.write_bytes(path.read_bytes()[:20])  # magic kept, header cut
+        with pytest.raises(CorruptPageError, match="header truncated"):
+            map_columns(path)
 
     def test_unknown_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.rcol3"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="column-page stream"):
             map_columns(path)
-        with pytest.raises(ValueError, match="column-page stream"):
-            read_column_stream(path.read_bytes())
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +214,7 @@ class TestIntegrity:
 class TestRetiredFormats:
     def test_stream_file_rejected_by_map_columns(self, tmp_path):
         path = tmp_path / "chain.rcol2"
-        path.write_bytes(_encode(some_columns()))
+        path.write_bytes(encode_retired_v2(some_columns()))
         with pytest.raises(PageError, match="RPROCOL2"):
             map_columns(path)
 
@@ -192,7 +224,10 @@ class TestRetiredFormats:
         with pytest.raises(PageError, match="RPROCOLS"):
             map_columns(path)
 
-    def test_v1_stream_rejected_by_unified_reader(self):
-        stream = encode_retired_v1(some_columns())
-        with pytest.raises(CorruptPageError, match="RPROCOLS"):
-            read_column_stream(stream)
+    def test_v1_stream_rejected_by_unified_reader(self, tmp_path):
+        """A bare ``RPROCOLS`` magic is named too, never decoded."""
+        path = tmp_path / "bare.rcols"
+        path.write_bytes(b"RPROCOLS")
+        with pytest.raises(PageError, match="RPROCOLS") as info:
+            map_columns(path)
+        assert not isinstance(info.value, CorruptPageError)

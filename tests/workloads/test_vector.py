@@ -1,17 +1,11 @@
-"""Vectorized workloads: array generator equivalence and stream fixtures.
+"""Vectorized workloads: seeded byte-stability and stream fixtures.
 
-Two contracts are pinned here:
-
-1. **Byte-identity of the seeded legacy streams.**  Vectorizing the
-   generator must not move a single random draw: ``make_workload`` and
-   ``UpdateStream`` outputs for a fixed seed are part of the repo's
-   reproducibility surface (benchmark cells and differential fixtures
-   reference them by seed).  The digests below were captured before the
-   vectorization refactor; any drift fails loudly.
-2. **Exact equivalence of the array generator.**
-   ``make_workload_arrays(...).to_scenario()`` must reproduce
-   ``make_workload(...)`` object-for-object — same oids, same kinetic
-   parameters, same RNG advancement.
+**Byte-identity of the seeded streams.**  ``make_workload`` (which is
+``make_workload_arrays(...).to_scenario()``) and ``UpdateStream``
+outputs for a fixed seed are part of the repo's reproducibility surface
+(benchmark cells and differential fixtures reference them by seed).
+The digests below were captured before the generator was vectorized;
+any drift fails loudly.
 
 ``VectorUpdateStream`` is deterministic per seed but intentionally *not*
 draw-compatible with the scalar stream (it bulk-draws per tick); its
@@ -82,22 +76,6 @@ def test_seeded_scenarios_are_byte_stable(distribution):
 def test_seeded_streams_are_byte_stable(distribution):
     scenario = make_workload(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
     assert stream_digest(scenario) == STREAM_DIGESTS[distribution]
-
-
-@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-def test_array_generator_reproduces_object_generator(distribution):
-    arrays = make_workload_arrays(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
-    legacy = make_workload(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
-    rebuilt = arrays.to_scenario()
-    for built, want in (
-        (rebuilt.set_a, legacy.set_a),
-        (rebuilt.set_b, legacy.set_b),
-    ):
-        assert [o.oid for o in built] == [o.oid for o in want]
-        for x, y in zip(built, want):
-            assert x.kbox.params() == y.kbox.params()
-    # Identical RNG advancement too: the digests transfer as-is.
-    assert scenario_digest(rebuilt) == SCENARIO_DIGESTS[distribution]
 
 
 def test_array_scenario_columns_match_objects():
